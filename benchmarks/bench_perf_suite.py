@@ -333,7 +333,7 @@ def _run_engine_batch(reuse_sessions: bool, quick: bool, workers: int = 1) -> di
     start = time.perf_counter()
     results = engine.run_batch([dict(job) for job in jobs])
     seconds = time.perf_counter() - start
-    variables = clauses = conflicts = propagations = 0
+    variables = clauses = conflicts = propagations = decisions = learned = 0
     verdicts = []
     for result in results:
         verdicts.append((result.success, result.verdict))
@@ -345,6 +345,8 @@ def _run_engine_batch(reuse_sessions: bool, quick: bool, workers: int = 1) -> di
         if sat is not None:
             conflicts += sat["conflicts"]
             propagations += sat["propagations"]
+            decisions += sat["decisions"]
+            learned += sat["learned_clauses"]
     record = {
         "jobs": len(jobs),
         "workers": workers,
@@ -357,6 +359,8 @@ def _run_engine_batch(reuse_sessions: bool, quick: bool, workers: int = 1) -> di
         "sat_clauses": clauses,
         "conflicts": conflicts,
         "propagations": propagations,
+        "decisions": decisions,
+        "learned_clauses": learned,
         # Exact wire forms (minus wall-clock fields) for the byte-parity
         # check between execution modes.
         "result_wires": [

@@ -10,9 +10,11 @@ regressed:
   parallel results, the clause-reduction floor, steal counter, the
   cross-worker memo hit, ...);
 * **counts** — SAT clause/variable totals per workload and config, the
-  batch stream's pooled/fresh encoding work, and workload verdict lists
-  are compared **exactly**: the whole stack is deterministic, so any
-  drift is a real encoding change.  Improvements fail too, on purpose —
+  batch stream's pooled/fresh encoding work and search counters
+  (conflicts, propagations, decisions), and workload verdict lists are
+  compared **exactly**: the whole stack is deterministic, so any drift
+  is a real encoding change or a moved search.  The search counters are
+  the proof that a solver speed-up left every decision where it was.  Improvements fail too, on purpose —
   they mean the committed baseline is stale; regenerate it with
   ``python benchmarks/bench_perf_suite.py --output BENCH_perf.json`` and
   commit it with the change that moved the numbers;
@@ -51,9 +53,13 @@ EXACT_PATHS = (
     "batch.pooled.sat_variables",
     "batch.pooled.sat_clauses",
     "batch.pooled.conflicts",
+    "batch.pooled.propagations",
+    "batch.pooled.decisions",
     "batch.fresh.sat_variables",
     "batch.fresh.sat_clauses",
     "batch.fresh.conflicts",
+    "batch.fresh.propagations",
+    "batch.fresh.decisions",
     "batch.pooled.verdicts",
     "batch.fresh.verdicts",
     "scheduler.jobs",

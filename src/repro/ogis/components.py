@@ -51,11 +51,15 @@ class Component:
 
     def apply(self, args: Sequence[int], width: int) -> int:
         """Evaluate the component on concrete arguments."""
-        if len(args) != self.arity:
-            raise ReproError(
-                f"component {self.name} expects {self.arity} arguments, got {len(args)}"
-            )
+        self.check_arity(len(args))
         return self.evaluate(args, width) & _mask(width)
+
+    def check_arity(self, count: int) -> None:
+        """Raise :class:`ReproError` unless ``count`` arguments fit the component."""
+        if count != self.arity:
+            raise ReproError(
+                f"component {self.name} expects {self.arity} arguments, got {count}"
+            )
 
     def render(self, arguments: Sequence[str]) -> str:
         """Render an application of the component on argument strings."""

@@ -18,10 +18,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.exceptions import ReproError
 from repro.ogis.components import Component
+
+
+#: Rows per block of :meth:`LoopFreeProgram.equivalent_to`: large enough
+#: that per-block overhead vanishes, small enough that the block's columns
+#: stay a few hundred KiB (all 65,536 rows of a width-8 pair at once cost
+#: about 12 MiB of peak memory).
+EQUIVALENCE_BLOCK_ROWS = 4096
 
 
 def _mask(width: int) -> int:
@@ -152,22 +159,48 @@ class LoopFreeProgram:
 
         All input combinations are checked when the input space is no
         larger than ``exhaustive_limit``; otherwise ``random_trials``
-        uniformly random input tuples are compared.  (The SMT-based
-        equivalence check used for hypothesis testing lives in
-        :mod:`repro.ogis.encoding`.)
+        uniformly random input tuples are compared.  Rows are taken in
+        blocks of :data:`EQUIVALENCE_BLOCK_ROWS`; the program runs over a
+        whole block at once, and ``reference`` is called row by row only
+        up to the first mismatch.  (The SMT-based equivalence check used
+        for hypothesis testing lives in :mod:`repro.ogis.encoding`.)
         """
         width = width or self.width
+        mask = _mask(width)
         space = (1 << width) ** self.num_inputs
+        candidates: Iterator[tuple[int, ...]]
         if space <= exhaustive_limit:
             candidates = itertools.product(range(1 << width), repeat=self.num_inputs)
         else:
             rng = random.Random(seed)
             candidates = (
-                tuple(rng.randint(0, _mask(width)) for _ in range(self.num_inputs))
+                tuple(rng.randint(0, mask) for _ in range(self.num_inputs))
                 for _ in range(random_trials)
             )
-        for inputs in candidates:
-            expected = tuple(value & _mask(width) for value in reference(inputs))
-            if self.run(inputs, width=width) != expected:
-                return False
+        while rows := list(itertools.islice(candidates, EQUIVALENCE_BLOCK_ROWS)):
+            for inputs, actual in zip(rows, self._run_rows(rows, width)):
+                if actual != tuple(value & mask for value in reference(inputs)):
+                    return False
         return True
+
+    def _run_rows(self, rows: list[tuple[int, ...]], width: int) -> Iterator[tuple[int, ...]]:
+        """Outputs of :meth:`run` on every row, one column of rows at a time.
+
+        Each component instance is evaluated over the whole column of its
+        argument lines, so the per-row cost is one ``evaluate`` call per
+        instance rather than a full interpreter pass.
+        """
+        mask = _mask(width)
+        columns = [[value & mask for value in column] for column in zip(*rows)]
+        for instance in self.instances:
+            component = instance.component
+            component.check_arity(len(instance.input_lines))
+            evaluate = component.evaluate
+            if instance.input_lines:
+                arguments = zip(*(columns[line] for line in instance.input_lines))
+                columns.append([evaluate(args, width) & mask for args in arguments])
+            else:
+                columns.append([evaluate((), width) & mask for _ in rows])
+        if not self.output_lines:
+            return itertools.repeat((), len(rows))
+        return zip(*(columns[line] for line in self.output_lines))

@@ -117,25 +117,37 @@ class ServiceJob:
     client: str | None = None
     #: Cert-store key of the canonical submission (None with no store).
     fingerprint: str | None = field(default=None, repr=False)
-    #: Local state ("queued"/"cancelled" before the drain, the final
-    #: state after :meth:`_finalize`); while the job lives in the engine,
-    #: the engine job is authoritative.
+    #: Local state: "queued" until the drain, the final state once
+    #: :meth:`JobQueue._record_finish` has published the finish.  While
+    #: the job lives in the engine, the engine job says whether it is
+    #: queued or running.
     _local_state: str = field(default="queued", repr=False)
     _local_result: dict | None = field(default=None, repr=False)
     _local_error: str | None = field(default=None, repr=False)
     _local_elapsed: float = field(default=0.0, repr=False)
     _engine_job: Job | None = field(default=None, repr=False)
-    #: Guards against double journaling/accounting of the terminal
-    #: transition (a cancel can finalize before the batch harvest does).
+    #: Set when the terminal transition is journaled, persisted and
+    #: published (a cancel can record it before the batch harvest does).
     _finish_recorded: bool = field(default=False, repr=False)
     #: Whether the result was answered from the certificate store.
     from_certificate: bool = field(default=False, repr=False)
 
     @property
     def state(self) -> str:
-        if self._engine_job is not None:
-            return _STATE_NAMES[self._engine_job.state]
-        return self._local_state
+        """The state readers may see: terminal only once the finish is recorded.
+
+        A job stays attached to its engine job until
+        :meth:`JobQueue._record_finish` has journaled the finish and
+        persisted its certificate, so an engine job that is already
+        terminal still reads as open here.  Only a pending engine job can
+        be cancelled, so an unrecorded cancellation still reads as queued.
+        """
+        engine_job = self._engine_job
+        if engine_job is None:
+            return self._local_state
+        if engine_job.state in (JobState.PENDING, JobState.CANCELLED):
+            return "queued"
+        return "running"
 
     @property
     def done(self) -> bool:
@@ -144,18 +156,10 @@ class ServiceJob:
     @property
     def result(self) -> dict | None:
         """The wire-form result, or None while the job is open."""
-        if self._engine_job is not None:
-            if self.state in _TERMINAL:
-                # result_wire() may momentarily be None while the runner
-                # thread is still folding the outcome; served as not-done.
-                return self._engine_job.result_wire()
-            return None
         return self._local_result
 
     @property
     def error(self) -> str | None:
-        if self._engine_job is not None:
-            return self._engine_job.error
         return self._local_error
 
     @property
@@ -164,21 +168,21 @@ class ServiceJob:
             return self._engine_job.elapsed
         return self._local_elapsed
 
-    def _finalize(self) -> None:
-        """Copy the engine job's outcome locally and release the handle.
+    def _publish(
+        self, state: str, result: dict | None, error: str | None, elapsed: float
+    ) -> None:
+        """Make the terminal outcome visible and release the engine handle.
 
         Detaching lets the engine :meth:`~SciductionEngine.prune` its
         history — without this, a long-lived service would pin every
         result ever produced in two places.
         """
-        engine_job = self._engine_job
-        if engine_job is None or not engine_job.done:
-            return
-        self._local_state = _STATE_NAMES[engine_job.state]
-        self._local_result = engine_job.result_wire()
-        self._local_error = engine_job.error
-        self._local_elapsed = engine_job.elapsed
+        self._local_result = result
+        self._local_error = error
+        self._local_elapsed = elapsed
+        self._local_state = state
         self._engine_job = None
+        self._finish_recorded = True
 
 
 @guarded_by(
@@ -255,24 +259,40 @@ class JobQueue:
             pass
 
     @holds("_lock")
-    def _record_finish(self, job: ServiceJob) -> None:
-        """Journal + persist + account one terminal transition (locked).
+    def _record_finish(
+        self, job: ServiceJob, state: str | None = None, result: dict | None = None
+    ) -> None:
+        """Journal + persist + account + publish one terminal transition (locked).
 
-        Idempotent per job: the first caller (batch harvest or an
-        in-engine cancellation) wins.
+        The outcome is the engine job's, or ``state``/``result`` for a job
+        that never reached the engine (cancelled while queued, answered
+        from the cert store).  It becomes visible through the job's
+        ``state``/``result`` only after the journal record and the
+        certificate are written, so a client that sees a terminal state
+        also sees its durable side effects.  Idempotent per job: the first
+        caller (batch harvest or an in-engine cancellation) wins.
         """
         if job._finish_recorded:
             return
-        job._finish_recorded = True
-        state = job.state
+        engine_job = job._engine_job
+        error: str | None = None
+        elapsed = 0.0
+        if engine_job is not None:
+            if not engine_job.done:
+                return
+            state = _STATE_NAMES[engine_job.state]
+            result = engine_job.result_wire()
+            error = engine_job.error
+            elapsed = engine_job.elapsed
+        assert state is not None
         self._journal_soft(
             {
                 "event": EVENT_FINISHED,
                 "job": job.job_id,
                 "state": state,
-                "result": job.result,
-                "error": job.error,
-                "elapsed": job.elapsed,
+                "result": result,
+                "error": error,
+                "elapsed": elapsed,
             }
         )
         if (
@@ -280,7 +300,7 @@ class JobQueue:
             and job.fingerprint is not None
             and state == "completed"
             and not job.from_certificate
-            and job.result is not None
+            and result is not None
         ):
             self.certstore.put(
                 job.fingerprint,
@@ -293,10 +313,11 @@ class JobQueue:
                         "label": job.label,
                     },
                     "state": state,
-                    "result": job.result,
-                    "elapsed": job.elapsed,
+                    "result": result,
+                    "elapsed": elapsed,
                 },
             )
+        job._publish(state, result, error, elapsed)
         if job.client is not None:
             self._client_counters(job.client)["completed"] += 1
         self._done.notify_all()
@@ -427,11 +448,12 @@ class JobQueue:
                 # the engine never sees it.  The journal still records a
                 # finish so a restart replays it as history, not work.
                 job.from_certificate = True
-                job._local_state = str(cert.get("state", "completed"))
                 result = cert.get("result")
-                job._local_result = result if isinstance(result, dict) else None
-                job._local_elapsed = 0.0
-                self._record_finish(job)
+                self._record_finish(
+                    job,
+                    str(cert.get("state", "completed")),
+                    result if isinstance(result, dict) else None,
+                )
                 return job
             self._pending.append(job)
             self._depth_histogram.observe(len(self._pending))
@@ -490,21 +512,18 @@ class JobQueue:
                     # The engine marked it cancelled synchronously; fold
                     # the outcome now so the journal and long-pollers see
                     # it without waiting for the batch harvest.
-                    job._finalize()
                     self._record_finish(job)
                     return "cancelled"
-                if job._engine_job is not None and job._engine_job.done:
-                    return f"finished:{job.state}"
+                # Running, or finished but not yet harvested: either way
+                # the recorded outcome will stand.
                 return "running"
             if state != "queued":  # pragma: no cover — defensive
                 return state
-            job._local_state = "cancelled"
-            job._local_result = _cancelled_wire()
             try:
                 self._pending.remove(job)
             except ValueError:  # pragma: no cover — drained concurrently
                 pass
-            self._record_finish(job)
+            self._record_finish(job, "cancelled", _cancelled_wire())
             return "cancelled"
 
     def counts(self) -> dict:
@@ -630,7 +649,7 @@ class JobQueue:
         ``max_history`` are evicted."""
         with self._lock:
             for job in drained:
-                job._finalize()
+                self._record_finish(job)
                 kind = str(job.problem.get("kind", "unknown"))
                 histogram = self._latency_histograms.get(kind)
                 if histogram is None:
@@ -638,7 +657,6 @@ class JobQueue:
                         LATENCY_BOUNDS
                     )
                 histogram.observe(job.elapsed)
-                self._record_finish(job)
             self.engine.prune()
             if len(self._jobs) > self.max_history:
                 for job_id in sorted(self._jobs):

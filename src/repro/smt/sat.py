@@ -31,9 +31,20 @@ module implements the classic CDCL architecture from scratch:
   clauses on long-lived sessions,
 * solving under assumptions (used for incremental queries by the SMT layer).
 
-The implementation favours clarity over raw speed but is easily fast enough
-for the bit-blasted queries produced by the reproduction's benchmarks
-(thousands of variables, tens of thousands of clauses).
+The hot paths are written in MiniSat style for CPython: attributes the
+inner loops touch are bound to locals, the enqueue step is inlined into
+:meth:`CdclSolver._propagate`, and variables are taken from literals with
+``literal >> 1`` rather than through :mod:`repro.smt.cnf` helpers.  The
+only record of the current assignment is the literal-indexed value array
+``_lit_val``: ``_lit_val[lit]`` is ``_TRUE`` for every literal on the
+trail, ``_FALSE`` for its negation, and ``_UNASSIGNED`` for both literals
+of every variable off the trail.  It is written only where the trail
+changes: :meth:`CdclSolver._enqueue` (and its inlined copy in
+``_propagate``), :meth:`CdclSolver._backtrack` and
+:meth:`CdclSolver.shrink_variables` (plus growth in ``new_variable``).
+None of this changes the search: every decision, propagation, conflict
+and learned clause happens in the same order as in the plain textbook
+loop, which ``tests/smt/test_search_pin.py`` pins.
 """
 
 from __future__ import annotations
@@ -46,15 +57,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.exceptions import SolverError
-from repro.smt.cnf import (
-    CnfFormula,
-    literal_is_negative,
-    literal_variable,
-    make_literal,
-    negate,
-)
+from repro.smt.cnf import CnfFormula, literal_variable, negate
 
-#: Truth values used on the solver trail.
+#: Truth values held by the literal-indexed value array ``_lit_val``.
 _UNASSIGNED = -1
 _FALSE = 0
 _TRUE = 1
@@ -200,7 +205,9 @@ class CdclSolver:
         # pair, where the blocker is some other literal of the clause that
         # lets the hot loop skip the clause when it is already satisfied.
         self._watches: list[list[tuple[int, _Clause]]] = [[], []]
-        self._assignment: list[int] = [_UNASSIGNED]
+        # Literal-indexed truth values (see the module docstring); slots 0
+        # and 1 belong to the unused variable 0.
+        self._lit_val: list[int] = [_UNASSIGNED, _UNASSIGNED]
         self._level: list[int] = [0]
         self._reason: list[_Clause | None] = [None]
         self._activity: list[float] = [0.0]
@@ -255,7 +262,8 @@ class CdclSolver:
     def new_variable(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
         self._num_vars += 1
-        self._assignment.append(_UNASSIGNED)
+        self._lit_val.append(_UNASSIGNED)
+        self._lit_val.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
@@ -301,7 +309,7 @@ class CdclSolver:
                 continue
             # Drop literals already false at level 0; satisfied clauses are
             # dropped entirely.
-            value = self._literal_value(literal)
+            value = self._lit_val[literal]
             if value == _TRUE and self._level[variable] == 0:
                 return
             if value == _FALSE and self._level[variable] == 0:
@@ -403,7 +411,7 @@ class CdclSolver:
             # restarts / backjumps).
             next_assumption = self._next_unhandled_assumption(assumption_queue)
             if next_assumption is not None:
-                value = self._literal_value(next_assumption)
+                value = self._lit_val[next_assumption]
                 if value == _FALSE:
                     self._backtrack(0)
                     return SatResult.UNSAT
@@ -428,7 +436,7 @@ class CdclSolver:
 
             literal = self._pick_branch_literal()
             if literal is None:
-                self._cached_model = [value == _TRUE for value in self._assignment]
+                self._cached_model = [value == _TRUE for value in self._lit_val[::2]]
                 self._backtrack(0)
                 return SatResult.SAT
             self.statistics.decisions += 1
@@ -553,73 +561,95 @@ class CdclSolver:
     def _decision_level(self) -> int:
         return len(self._trail_limits)
 
-    def _literal_value(self, literal: int) -> int:
-        value = self._assignment[literal_variable(literal)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        if literal_is_negative(literal):
-            return _TRUE if value == _FALSE else _FALSE
-        return value
-
     def _enqueue(self, literal: int, reason: _Clause | None) -> bool:
-        value = self._literal_value(literal)
-        if value == _FALSE:
-            return False
-        if value == _TRUE:
-            return True
-        variable = literal_variable(literal)
-        self._assignment[variable] = _FALSE if literal_is_negative(literal) else _TRUE
-        self._level[variable] = self._decision_level()
+        lit_val = self._lit_val
+        value = lit_val[literal]
+        if value != _UNASSIGNED:
+            return value == _TRUE
+        lit_val[literal] = _TRUE
+        lit_val[literal ^ 1] = _FALSE
+        variable = literal >> 1
+        self._level[variable] = len(self._trail_limits)
         self._reason[variable] = reason
-        self._phase[variable] = not literal_is_negative(literal)
+        self._phase[variable] = not literal & 1
         self._trail.append(literal)
         return True
 
     def _propagate(self) -> _Clause | None:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._propagation_head < len(self._trail):
-            literal = self._trail[self._propagation_head]
-            self._propagation_head += 1
-            self.statistics.propagations += 1
-            false_literal = negate(literal)
-            watch_list = self._watches[false_literal]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The enqueue of each implied literal is inlined (it must match
+        :meth:`_enqueue` exactly), and the propagation count is kept in a
+        local and added to the statistics on the way out.
+        """
+        trail = self._trail
+        head = self._propagation_head
+        if head >= len(trail):
+            return None
+        lit_val = self._lit_val
+        watches = self._watches
+        level = self._level
+        reason_of = self._reason
+        phase = self._phase
+        current_level = len(self._trail_limits)
+        start = head
+        while head < len(trail):
+            false_literal = trail[head] ^ 1
+            head += 1
+            watch_list = watches[false_literal]
+            # Implied literals go to the trail and relocated watches to
+            # other literals' lists, so only the swap-remove below changes
+            # this list's length while it is being walked.
+            end = len(watch_list)
             index = 0
-            while index < len(watch_list):
+            while index < end:
                 blocker, clause = watch_list[index]
                 # Blocking literal: if the cached literal is already true
                 # the clause is satisfied — skip it without touching its
                 # literal list (the common case on long watch lists).
-                if self._literal_value(blocker) == _TRUE:
+                if lit_val[blocker] == _TRUE:
                     index += 1
                     continue
                 literals = clause.literals
                 # Ensure the false literal is in position 1.
                 if literals[0] == false_literal:
-                    literals[0], literals[1] = literals[1], literals[0]
+                    literals[0] = literals[1]
+                    literals[1] = false_literal
                 first = literals[0]
-                if first != blocker and self._literal_value(first) == _TRUE:
+                first_value = lit_val[first]
+                # (When first is the blocker it is not true, checked above.)
+                if first_value == _TRUE:
                     # Refresh the blocker so the next visit can skip early.
                     watch_list[index] = (first, clause)
                     index += 1
                     continue
                 # Look for a replacement watch.
-                replaced = False
                 for position in range(2, len(literals)):
                     candidate = literals[position]
-                    if self._literal_value(candidate) != _FALSE:
-                        literals[1], literals[position] = literals[position], literals[1]
-                        watch_list[index] = watch_list[-1]
+                    if lit_val[candidate] != _FALSE:
+                        literals[position] = literals[1]
+                        literals[1] = candidate
+                        end -= 1
+                        watch_list[index] = watch_list[end]
                         watch_list.pop()
-                        self._watches[candidate].append((first, clause))
-                        replaced = True
+                        watches[candidate].append((first, clause))
                         break
-                if replaced:
-                    continue
-                # Clause is unit or conflicting.
-                if not self._enqueue(first, clause):
-                    self._propagation_head = len(self._trail)
-                    return clause
-                index += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if first_value == _FALSE:
+                        self._propagation_head = len(trail)
+                        self.statistics.propagations += head - start
+                        return clause
+                    lit_val[first] = _TRUE
+                    lit_val[first ^ 1] = _FALSE
+                    variable = first >> 1
+                    level[variable] = current_level
+                    reason_of[variable] = clause
+                    phase[variable] = not first & 1
+                    trail.append(first)
+                    index += 1
+        self._propagation_head = head
+        self.statistics.propagations += head - start
         return None
 
     def _attach_clause(self, clause: _Clause) -> None:
@@ -628,22 +658,41 @@ class CdclSolver:
         # Each watcher carries the clause's *other* watched literal as its
         # initial blocking literal.
         self._clauses.append(clause)
+        self._watch(clause)
+
+    def _watch(self, clause: _Clause) -> None:
         self._watches[clause.literals[0]].append((clause.literals[1], clause))
         self._watches[clause.literals[1]].append((clause.literals[0], clause))
 
+    def _rebuild_watches(self) -> None:
+        """Watch every database clause afresh, in database order."""
+        for watch_list in self._watches:
+            watch_list.clear()
+        for clause in self._clauses:
+            self._watch(clause)
+
     def _backtrack(self, target_level: int) -> None:
-        if self._decision_level() <= target_level:
+        trail_limits = self._trail_limits
+        if len(trail_limits) <= target_level:
             return
-        boundary = self._trail_limits[target_level]
-        for literal in reversed(self._trail[boundary:]):
-            variable = literal_variable(literal)
-            self._assignment[variable] = _UNASSIGNED
-            self._reason[variable] = None
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
-        del self._trail[boundary:]
-        del self._trail_limits[target_level:]
+        boundary = trail_limits[target_level]
+        trail = self._trail
+        lit_val = self._lit_val
+        reason = self._reason
+        activity = self._activity
+        order_heap = self._order_heap
+        push = heapq.heappush
+        for index in range(len(trail) - 1, boundary - 1, -1):
+            literal = trail[index]
+            lit_val[literal] = _UNASSIGNED
+            lit_val[literal ^ 1] = _UNASSIGNED
+            variable = literal >> 1
+            reason[variable] = None
+            push(order_heap, (-activity[variable], variable))
+        del trail[boundary:]
+        del trail_limits[target_level:]
         del self._active_assumption_levels[target_level:]
-        self._propagation_head = min(self._propagation_head, len(self._trail))
+        self._propagation_head = min(self._propagation_head, len(trail))
 
     # -- internal: conflict analysis --------------------------------------
 
@@ -652,45 +701,63 @@ class CdclSolver:
 
         Returns the learned clause (with the asserting literal first), the
         backjump level, and the clause's LBD (distinct decision levels).
+        The VSIDS variable bump is inlined into the resolution loop.
         """
         learned: list[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
         counter = 0
         literal = -1
         reason: _Clause | None = conflict
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        trail = self._trail
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_limits)
+        level = self._level
+        reasons = self._reason
+        activity = self._activity
+        lit_val = self._lit_val
+        order_heap = self._order_heap
+        increment = self._variable_increment
 
         while True:
             assert reason is not None
-            self._bump_clause(reason)
+            if reason.learned:
+                self._bump_clause(reason)
             # On the first iteration ``reason`` is the conflict clause and
             # every literal participates; on later iterations it is the
             # reason of the literal being resolved away, which sits at
             # position 0 and is skipped.
             start = 0 if literal == -1 else 1
             for clause_literal in reason.literals[start:]:
-                variable = literal_variable(clause_literal)
-                if seen[variable] or self._level[variable] == 0:
+                variable = clause_literal >> 1
+                if seen[variable]:
+                    continue
+                variable_level = level[variable]
+                if variable_level == 0:
                     continue
                 seen[variable] = True
-                self._bump_variable(variable)
-                if self._level[variable] == current_level:
+                bumped = activity[variable] + increment
+                activity[variable] = bumped
+                if bumped > 1e100:
+                    self._rescale_variable_activities()
+                    increment = self._variable_increment
+                if lit_val[clause_literal] == _UNASSIGNED:
+                    heapq.heappush(order_heap, (-activity[variable], variable))
+                if variable_level == current_level:
                     counter += 1
                 else:
                     learned.append(clause_literal)
             # Find the next trail literal to resolve on.
-            while not seen[literal_variable(self._trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            literal = self._trail[trail_index]
-            variable = literal_variable(literal)
+            literal = trail[trail_index]
+            variable = literal >> 1
             seen[variable] = False
             trail_index -= 1
             counter -= 1
             if counter == 0:
-                learned[0] = negate(literal)
+                learned[0] = literal ^ 1
                 break
-            reason = self._reason[variable]
+            reason = reasons[variable]
 
         # Clause minimisation: drop literals implied by the rest (cheap,
         # reason-subsumption based check).
@@ -698,7 +765,7 @@ class CdclSolver:
 
         # LBD ("glue"): number of distinct decision levels in the learned
         # clause, measured before backtracking invalidates the levels.
-        lbd = len({self._level[literal_variable(lit)] for lit in learned})
+        lbd = len({level[lit >> 1] for lit in learned})
 
         if len(learned) == 1:
             backjump_level = 0
@@ -706,38 +773,40 @@ class CdclSolver:
             # Move the literal with the highest level (other than the
             # asserting one) into position 1.
             best = 1
+            best_level = level[learned[1] >> 1]
             for position in range(2, len(learned)):
-                if (
-                    self._level[literal_variable(learned[position])]
-                    > self._level[literal_variable(learned[best])]
-                ):
+                position_level = level[learned[position] >> 1]
+                if position_level > best_level:
                     best = position
+                    best_level = position_level
             learned[1], learned[best] = learned[best], learned[1]
-            backjump_level = self._level[literal_variable(learned[1])]
+            backjump_level = best_level
         return learned, backjump_level, lbd
 
     def _minimise_clause(self, learned: list[int], seen: list[bool]) -> list[int]:
-        for literal in learned[1:]:
-            seen[literal_variable(literal)] = True
+        level = self._level
+        reasons = self._reason
+        tail = learned[1:]
+        for literal in tail:
+            seen[literal >> 1] = True
         result = [learned[0]]
-        for literal in learned[1:]:
-            variable = literal_variable(literal)
-            reason = self._reason[variable]
+        for literal in tail:
+            variable = literal >> 1
+            reason = reasons[variable]
             if reason is None:
                 result.append(literal)
                 continue
-            redundant = True
             for reason_literal in reason.literals:
-                reason_variable = literal_variable(reason_literal)
-                if reason_variable == variable:
-                    continue
-                if not seen[reason_variable] and self._level[reason_variable] > 0:
-                    redundant = False
+                reason_variable = reason_literal >> 1
+                if (
+                    reason_variable != variable
+                    and not seen[reason_variable]
+                    and level[reason_variable] > 0
+                ):
+                    result.append(literal)
                     break
-            if not redundant:
-                result.append(literal)
-        for literal in learned[1:]:
-            seen[literal_variable(literal)] = False
+        for literal in tail:
+            seen[literal >> 1] = False
         return result
 
     def _learn_clause(self, learned: list[int], lbd: int) -> None:
@@ -752,18 +821,14 @@ class CdclSolver:
 
     # -- internal: heuristics ---------------------------------------------
 
-    def _bump_variable(self, variable: int) -> None:
-        self._activity[variable] += self._variable_increment
-        if self._activity[variable] > 1e100:
-            for index in range(1, self._num_vars + 1):
-                self._activity[index] *= 1e-100
-            self._variable_increment *= 1e-100
-        if self._assignment[variable] == _UNASSIGNED:
-            heapq.heappush(self._order_heap, (-self._activity[variable], variable))
+    def _rescale_variable_activities(self) -> None:
+        activity = self._activity
+        for index in range(1, self._num_vars + 1):
+            activity[index] *= 1e-100
+        self._variable_increment *= 1e-100
 
     def _bump_clause(self, clause: _Clause) -> None:
-        if not clause.learned:
-            return
+        """Bump a learned clause's activity and refresh its LBD."""
         clause.activity += self._clause_increment
         if clause.activity > 1e20:
             for other in self._clauses:
@@ -773,7 +838,8 @@ class CdclSolver:
         # Glucose-style dynamic LBD: a clause participating in a conflict
         # has all its literals assigned, so its current LBD is well defined;
         # keep the minimum ever observed (clauses can only become "gluier").
-        lbd = len({self._level[literal_variable(lit)] for lit in clause.literals})
+        level = self._level
+        lbd = len({level[lit >> 1] for lit in clause.literals})
         if lbd < clause.lbd:
             clause.lbd = lbd
 
@@ -789,26 +855,28 @@ class CdclSolver:
         # activity table preserves the pop order exactly while bounding
         # heap operations — and the churn of deallocating hundreds of
         # thousands of stale tuples — to O(num_vars).
-        if len(self._order_heap) > 4 * self._num_vars + 16:
+        lit_val = self._lit_val
+        num_vars = self._num_vars
+        if len(self._order_heap) > 4 * num_vars + 16:
+            activity = self._activity
             self._order_heap = [
-                (-self._activity[variable], variable)
-                for variable in range(1, self._num_vars + 1)
-                if self._assignment[variable] == _UNASSIGNED
+                (-activity[variable], variable)
+                for variable in range(1, num_vars + 1)
+                if lit_val[variable << 1] == _UNASSIGNED
             ]
             heapq.heapify(self._order_heap)
         # Pop the lazy heap until an unassigned variable surfaces.  Stale
         # entries (assigned variables, or outdated activities) are simply
         # discarded; unassigned variables are guaranteed to be present
         # because they are re-pushed on backtracking and on activity bumps.
-        while self._order_heap:
-            _, variable = heapq.heappop(self._order_heap)
+        order_heap = self._order_heap
+        pop = heapq.heappop
+        while order_heap:
+            _, variable = pop(order_heap)
             # The index bound guards against entries for variables dropped
             # by shrink_variables.
-            if (
-                variable <= self._num_vars
-                and self._assignment[variable] == _UNASSIGNED
-            ):
-                return make_literal(variable, negative=not self._phase[variable])
+            if variable <= num_vars and lit_val[variable << 1] == _UNASSIGNED:
+                return (variable << 1) | (not self._phase[variable])
         # Heap exhausted: scan forward from the low-water mark (covers
         # variables never bumped nor backtracked over since their initial
         # entry was popped).  Skipped variables are assigned *now*; should
@@ -816,11 +884,10 @@ class CdclSolver:
         # the heap, so the mark only ever moves forward and the scan cost
         # over the variable range is paid once per solve, not per decision.
         variable = self._fallback_head
-        num_vars = self._num_vars
         while variable <= num_vars:
-            if self._assignment[variable] == _UNASSIGNED:
+            if lit_val[variable << 1] == _UNASSIGNED:
                 self._fallback_head = variable + 1
-                return make_literal(variable, negative=not self._phase[variable])
+                return (variable << 1) | (not self._phase[variable])
             variable += 1
         self._fallback_head = variable
         return None
@@ -853,11 +920,17 @@ class CdclSolver:
         if not to_delete:
             return
         self.statistics.deleted_clauses += len(to_delete)
+        self._delete_clauses(to_delete)
+
+    def _delete_clauses(self, to_delete: set[int]) -> None:
+        """Remove the clauses whose ``id`` is in ``to_delete`` and their watches."""
         self._clauses = [c for c in self._clauses if id(c) not in to_delete]
-        for literal in range(2, 2 * self._num_vars + 2):
-            self._watches[literal] = [
-                entry for entry in self._watches[literal] if id(entry[1]) not in to_delete
-            ]
+        watches = self._watches
+        for literal in range(2, len(watches)):
+            if watches[literal]:
+                watches[literal] = [
+                    entry for entry in watches[literal] if id(entry[1]) not in to_delete
+                ]
 
     def reduce_learned(self, max_lbd: int) -> int:
         """Drop learned clauses whose LBD exceeds ``max_lbd`` (level 0 only).
@@ -897,13 +970,7 @@ class CdclSolver:
         if not to_delete:
             return 0
         self.statistics.deleted_clauses += len(to_delete)
-        self._clauses = [c for c in self._clauses if id(c) not in to_delete]
-        for literal in range(2, 2 * self._num_vars + 2):
-            watch_list = self._watches[literal]
-            if watch_list:
-                self._watches[literal] = [
-                    entry for entry in watch_list if id(entry[1]) not in to_delete
-                ]
+        self._delete_clauses(to_delete)
         return len(to_delete)
 
     def reset_search_state(self, simplify: bool = True) -> None:
@@ -941,14 +1008,11 @@ class CdclSolver:
         # permanently swaps literals while relocating watches) and rebuild
         # the watch lists in clause order — the exact state a fresh solver
         # would be in after adding the same clauses.
-        for watch_list in self._watches:
-            watch_list.clear()
         for clause in self._clauses:
             if clause.learned:
                 clause.activity = 0.0
             clause.literals = list(clause.pristine)
-            self._watches[clause.literals[0]].append((clause.literals[1], clause))
-            self._watches[clause.literals[1]].append((clause.literals[0], clause))
+        self._rebuild_watches()
         # Mirror the level-0 filtering add_clause would have applied had
         # the clauses been added now: facts fixed since (learned units)
         # may satisfy whole clauses or falsify restored watch literals,
@@ -1014,17 +1078,13 @@ class CdclSolver:
         for literal in self._trail:
             self._reason[literal_variable(literal)] = None
         self._propagation_head = len(self._trail)
-        del self._assignment[num_vars + 1:]
+        del self._lit_val[2 * num_vars + 2:]
         del self._level[num_vars + 1:]
         del self._reason[num_vars + 1:]
         del self._activity[num_vars + 1:]
         del self._phase[num_vars + 1:]
         del self._watches[2 * num_vars + 2:]
-        for watch_list in self._watches:
-            watch_list.clear()
-        for clause in kept:
-            self._watches[clause.literals[0]].append((clause.literals[1], clause))
-            self._watches[clause.literals[1]].append((clause.literals[0], clause))
+        self._rebuild_watches()
         self._num_vars = num_vars
         # Stale heap entries for dropped variables are skipped lazily by
         # _pick_branch_literal (it re-checks the index bound).
@@ -1058,17 +1118,18 @@ class CdclSolver:
         if self._propagate() is not None:
             self._unsat = True
             return 0
+        lit_val = self._lit_val
         kept: list[_Clause] = []
         units: list[int] = []
         removed = 0
         for clause in self._clauses:
             literals = clause.literals
-            if any(self._literal_value(lit) == _TRUE for lit in literals):
+            if any(lit_val[lit] == _TRUE for lit in literals):
                 removed += 1  # fixed-satisfied: drop wholesale
                 continue
             # Strip fixed-false literals (every assignment is level 0 here).
             remaining = [
-                lit for lit in literals if self._literal_value(lit) != _FALSE
+                lit for lit in literals if lit_val[lit] != _FALSE
             ]
             if len(remaining) < len(literals):
                 if not remaining:
@@ -1088,11 +1149,7 @@ class CdclSolver:
             kept.append(clause)
         if removed:
             self._clauses = kept
-            for watch_list in self._watches:
-                watch_list.clear()
-            for clause in kept:
-                self._watches[clause.literals[0]].append((clause.literals[1], clause))
-                self._watches[clause.literals[1]].append((clause.literals[0], clause))
+            self._rebuild_watches()
             # Level-0 reasons may reference dropped clauses; they are never
             # dereferenced (conflict analysis skips level-0 variables), but
             # clearing them lets the clauses be freed.

@@ -10,10 +10,15 @@ instead of crashing the service.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import EngineConfig
 from repro.service import SciductionService
+from repro.service.certstore import submission_fingerprint
+from repro.service.journal import EVENT_FINISHED, decode_record
+from repro.service.wire import parse_job_request
 from repro.testing import faults
 
 from service.test_http import DEOB, call, submit_and_wait
@@ -178,3 +183,53 @@ class TestServiceUnderFaults:
             job_id, record = submit_and_wait(service, {"problem": dict(DEOB)})
         assert record["state"] == "completed"
         assert record["elapsed"] >= 0.1
+
+
+class TestFinishVisibility:
+    """A job reads terminal only after its finish is journaled and persisted."""
+
+    @staticmethod
+    def _finished_records(service, job_id):
+        lines = service.queue.journal.path.read_bytes().splitlines(keepends=True)
+        records = [decode_record(line) for line in lines]
+        return [
+            record for record in records
+            if record and record["event"] == EVENT_FINISHED and record["job"] == job_id
+        ]
+
+    def test_job_is_not_completed_until_the_harvest_records_it(
+        self, durable_service, monkeypatch
+    ):
+        service = durable_service
+        queue = service.queue
+        held, release = threading.Event(), threading.Event()
+        harvest = queue._harvest
+
+        def held_harvest(drained):
+            held.set()
+            assert release.wait(60)
+            harvest(drained)
+
+        monkeypatch.setattr(queue, "_harvest", held_harvest)
+        body = {"problem": dict(DEOB)}
+        status, submitted = call(service, "POST", "/jobs", body)
+        assert status == 202
+        job_id = submitted["job_id"]
+        try:
+            assert held.wait(60), "the batch never finished"
+            # The engine job is terminal; its finish is not recorded yet.
+            status, record = call(service, "GET", f"/jobs/{job_id}")
+            assert (record["state"], record["done"]) == ("running", False)
+            status, record = call(service, "GET", f"/jobs/{job_id}?wait=0.2")
+            assert (record["state"], record["done"]) == ("running", False)
+            status, _ = call(service, "GET", f"/jobs/{job_id}/result")
+            assert status == 409
+            assert self._finished_records(service, job_id) == []
+        finally:
+            release.set()
+        status, record = call(service, "GET", f"/jobs/{job_id}?wait=60")
+        assert (record["state"], record["done"]) == ("completed", True)
+        # Seen completed, so the finish record and the certificate exist.
+        assert [r["state"] for r in self._finished_records(service, job_id)] == ["completed"]
+        fingerprint = submission_fingerprint(parse_job_request(body))
+        assert queue.certstore.get(fingerprint) is not None

@@ -715,3 +715,82 @@ class TestSessionRetentionHooks:
             first.statistics.decisions,
             first.statistics.propagations,
         ) == tuple(2 * value for value in base_stats)
+
+
+def _check_value_array(solver):
+    """Trail literals read TRUE, their negations FALSE, all else UNASSIGNED."""
+    lit_val = solver._lit_val
+    assert len(lit_val) == 2 * solver.num_variables + 2
+    expected = [-1] * len(lit_val)
+    for literal in solver._trail:
+        assert expected[literal] == -1, f"variable {literal >> 1} twice on the trail"
+        expected[literal] = 1
+        expected[literal ^ 1] = 0
+    assert lit_val == expected
+
+
+class TestValueArrayInvariant:
+    """Fuzz the literal-indexed value array against every solver entry point.
+
+    Variables above a base watermark are only ever Tseitin gates (AND/OR
+    of earlier variables), so ``shrink_variables`` back to the watermark
+    drops a conservative extension and the base clauses stay the
+    reference for every later verdict.
+    """
+
+    @staticmethod
+    def _gate(rng, solver, variables):
+        a, b = (make_literal(v, rng.random() < 0.5) for v in rng.sample(variables, 2))
+        gate = solver.new_variable()
+        g = make_literal(gate)
+        if rng.random() < 0.5:  # gate <-> a & b
+            clauses = [[g ^ 1, a], [g ^ 1, b], [g, a ^ 1, b ^ 1]]
+        else:  # gate <-> a | b
+            clauses = [[g, a ^ 1], [g, b ^ 1], [g ^ 1, a, b]]
+        return gate, clauses
+
+    def test_interleaved_operations_keep_the_invariant_and_the_verdicts(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            base = rng.randint(4, 8)
+            solver = CdclSolver(restart_base=rng.choice([1, 4, 100]))
+            solver.ensure_variables(base)
+            base_clauses = []
+            gates = {}  # gate variable -> its definition clauses
+            for _ in range(30):
+                operation = rng.choice(
+                    ["clause", "clause", "gate", "solve", "solve", "simplify",
+                     "reduce", "shrink", "reset"]
+                )
+                if operation == "clause":
+                    clause = _random_clauses(rng, base, 1)[0]
+                    base_clauses.append(clause)
+                    solver.add_clause(clause)
+                elif operation == "gate" and len(gates) < 3:
+                    gate, clauses = self._gate(rng, solver, list(range(1, solver.num_variables + 1)))
+                    gates[gate] = clauses
+                    for clause in clauses:
+                        solver.add_clause(clause)
+                elif operation == "solve":
+                    variables = list(range(1, solver.num_variables + 1))
+                    assumptions = [
+                        make_literal(v, rng.random() < 0.5)
+                        for v in rng.sample(variables, rng.randint(0, min(3, len(variables))))
+                    ]
+                    clauses = base_clauses + [c for cs in gates.values() for c in cs]
+                    reference = clauses + [[literal] for literal in assumptions]
+                    result = solver.solve(assumptions)
+                    expected = _brute_force_sat(solver.num_variables, reference)
+                    assert (result is SatResult.SAT) == expected, (reference, assumptions)
+                    if expected:
+                        assert _model_satisfies(solver.model(), reference)
+                elif operation == "simplify":
+                    solver.simplify_database()
+                elif operation == "reduce":
+                    solver.reduce_learned(rng.randint(0, 3))
+                elif operation == "shrink":
+                    solver.shrink_variables(base)
+                    gates.clear()
+                elif operation == "reset":
+                    solver.reset_search_state()
+                _check_value_array(solver)
